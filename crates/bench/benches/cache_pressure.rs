@@ -15,8 +15,8 @@
 use bench::{bench_ctx, BENCH_X};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ft_compiler::CacheCapacity;
-use ft_core::EvalContext;
-use ft_flags::rng::rng_for;
+use ft_core::{evaluate_proposals_scored, Candidate, EvalContext, EvalMode, Proposal};
+use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{CvId, CvPool};
 use ft_machine::Architecture;
 use rand::Rng;
@@ -45,6 +45,25 @@ fn assignments(ctx: &EvalContext, k: usize) -> (CvPool, Vec<Vec<CvId>>) {
     (pool, batch)
 }
 
+/// Evaluates the batch on the per-candidate route under the historical
+/// assignment-batch seeds, `derive_seed_idx(noise_root ^ 0xA551, k)`.
+fn evaluate(ctx: &EvalContext, pool: &CvPool, batch: &[Vec<CvId>]) -> Vec<f64> {
+    let proposals: Vec<Proposal> = batch
+        .iter()
+        .enumerate()
+        .map(|(k, ids)| {
+            Proposal::new(
+                Candidate::PerLoop(ids.clone()),
+                derive_seed_idx(ctx.noise_root ^ 0xA551, k as u64),
+            )
+        })
+        .collect();
+    evaluate_proposals_scored(ctx, pool, &proposals, EvalMode::Scalar)
+        .into_iter()
+        .map(|s| s.time)
+        .collect()
+}
+
 fn pressure_benches(c: &mut Criterion) {
     let arch = Architecture::broadwell();
     let k = pressure_k();
@@ -57,7 +76,7 @@ fn pressure_benches(c: &mut Criterion) {
 
     let reference_ctx = bench_ctx("CloverLeaf", &arch);
     let (pool, batch) = assignments(&reference_ctx, k);
-    let reference = reference_ctx.eval_assignment_batch_ids(&pool, &batch);
+    let reference = evaluate(&reference_ctx, &pool, &batch);
 
     let mut g = c.benchmark_group(format!("cache-pressure/K{k}"));
     g.throughput(Throughput::Elements(k as u64));
@@ -66,7 +85,7 @@ fn pressure_benches(c: &mut Criterion) {
         let ctx = bench_ctx("CloverLeaf", &arch).with_cache_capacity(*capacity);
         // Gate: eviction must be invisible in the measurements.
         assert_eq!(
-            ctx.eval_assignment_batch_ids(&pool, &batch),
+            evaluate(&ctx, &pool, &batch),
             reference,
             "{name}: bounded caches changed results — bench is invalid"
         );
@@ -78,9 +97,7 @@ fn pressure_benches(c: &mut Criterion) {
              {} compiles",
             stats.object_evictions, stats.link_evictions, stats.object_computes,
         );
-        g.bench_function(*name, |b| {
-            b.iter(|| ctx.eval_assignment_batch_ids(&pool, &batch))
-        });
+        g.bench_function(*name, |b| b.iter(|| evaluate(&ctx, &pool, &batch)));
     }
     g.finish();
 }

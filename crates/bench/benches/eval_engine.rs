@@ -14,7 +14,7 @@
 use bench::{bench_ctx, BENCH_X};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ft_compiler::ObjectCache;
-use ft_core::EvalContext;
+use ft_core::{evaluate_proposals_scored, Candidate, EvalContext, EvalMode, Proposal};
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvId, CvPool};
 use ft_machine::{
@@ -35,7 +35,7 @@ fn batch_sizes() -> Vec<usize> {
     }
 }
 
-/// The pre-engine `eval_assignment_batch`: object cache, but no
+/// The pre-engine assignment batch: object cache, but no
 /// interning and no link cache — every candidate clones its CV vector
 /// and links from scratch. Seeds match the engine path exactly.
 fn legacy_assignment_batch(
@@ -76,6 +76,21 @@ fn legacy_uniform_batch(ctx: &EvalContext, cache: &ObjectCache, cvs: &[Cv]) -> V
         .collect()
 }
 
+/// The shipped engine path on the per-candidate route, under the
+/// historical batch seeds: `derive_seed_idx(noise_root ^ 0xA551, k)`
+/// for assignments, `derive_seed_idx(noise_root, k)` for uniform CVs.
+fn engine_batch(ctx: &EvalContext, pool: &CvPool, candidates: &[Candidate], salt: u64) -> Vec<f64> {
+    let proposals: Vec<Proposal> = candidates
+        .iter()
+        .enumerate()
+        .map(|(k, c)| Proposal::new(c.clone(), derive_seed_idx(ctx.noise_root ^ salt, k as u64)))
+        .collect();
+    evaluate_proposals_scored(ctx, pool, &proposals, EvalMode::Scalar)
+        .into_iter()
+        .map(|s| s.time)
+        .collect()
+}
+
 fn assignment_inputs(ctx: &EvalContext, k: usize) -> (CvPool, Vec<Vec<CvId>>, Vec<Vec<Cv>>) {
     let pool = CvPool::new();
     let cvs = ctx
@@ -104,8 +119,13 @@ fn engine_benches(c: &mut Criterion) {
 
         let ctx = bench_ctx("CloverLeaf", &arch);
         let (pool, id_assignments, cv_assignments) = assignment_inputs(&ctx, k);
+        let candidates: Vec<Candidate> = id_assignments
+            .iter()
+            .cloned()
+            .map(Candidate::PerLoop)
+            .collect();
         // Sanity: both paths must produce identical times.
-        let engine_times = ctx.eval_assignment_batch_ids(&pool, &id_assignments);
+        let engine_times = engine_batch(&ctx, &pool, &candidates, 0xA551);
         let legacy_cache = ObjectCache::new();
         let legacy_times = legacy_assignment_batch(&ctx, &legacy_cache, &cv_assignments);
         assert_eq!(
@@ -114,7 +134,7 @@ fn engine_benches(c: &mut Criterion) {
         );
 
         g.bench_function("engine", |b| {
-            b.iter(|| ctx.eval_assignment_batch_ids(&pool, &id_assignments))
+            b.iter(|| engine_batch(&ctx, &pool, &candidates, 0xA551))
         });
         g.bench_function("legacy", |b| {
             b.iter(|| legacy_assignment_batch(&ctx, &legacy_cache, &cv_assignments))
@@ -131,14 +151,22 @@ fn engine_benches(c: &mut Criterion) {
         let cvs = ctx
             .space()
             .sample_many(k, &mut rng_for(33, "engine-uniform"));
+        let pool = CvPool::new();
+        let candidates: Vec<Candidate> = pool
+            .intern_all(&cvs)
+            .into_iter()
+            .map(Candidate::Uniform)
+            .collect();
         let legacy_cache = ObjectCache::new();
         assert_eq!(
-            ctx.eval_uniform_batch(&cvs),
+            engine_batch(&ctx, &pool, &candidates, 0),
             legacy_uniform_batch(&ctx, &legacy_cache, &cvs),
             "paths disagree — bench is invalid"
         );
 
-        g.bench_function("engine", |b| b.iter(|| ctx.eval_uniform_batch(&cvs)));
+        g.bench_function("engine", |b| {
+            b.iter(|| engine_batch(&ctx, &pool, &candidates, 0))
+        });
         g.bench_function("legacy", |b| {
             b.iter(|| legacy_uniform_batch(&ctx, &legacy_cache, &cvs))
         });
@@ -205,7 +233,7 @@ fn batch_exec_benches(c: &mut Criterion) {
         let (pool, id_assignments, _) = assignment_inputs(&ctx, w);
         let linked: Vec<Arc<LinkedProgram>> = id_assignments
             .iter()
-            .map(|ids| ctx.linked_assignment_ids(&pool, ids))
+            .map(|ids| ctx.linked_assignment(&pool.materialize(ids)))
             .collect();
         let lanes: Vec<(&LinkedProgram, u64)> = linked
             .iter()

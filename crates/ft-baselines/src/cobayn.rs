@@ -23,8 +23,8 @@
 use ft_compiler::{Compiler, LoopFeatures, MemStride, ProgramIr};
 use ft_core::result::{best_so_far, TuningResult};
 use ft_core::{
-    pareto_points, Candidate, EvalContext, History, Objective, Proposal, SearchDriver,
-    SearchStrategy,
+    evaluate_proposals_scored, pareto_points, Candidate, EvalContext, EvalMode, History, Objective,
+    Proposal, SearchDriver, SearchStrategy,
 };
 use ft_flags::rng::{derive_seed, derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvPool, FlagSpace};
@@ -153,7 +153,23 @@ impl Cobayn {
             let mut rng = rng_for(seed, &format!("train-cvs-{i}"));
             let bin_cvs: Vec<Cv> = (0..samples).map(|_| bin_space.sample(&mut rng)).collect();
             let lifted: Vec<Cv> = bin_cvs.iter().map(|c| full_space.lift_binary(c)).collect();
-            let times = ctx.eval_uniform_batch(&lifted);
+            let pool = CvPool::new();
+            let proposals: Vec<Proposal> = pool
+                .intern_all(&lifted)
+                .into_iter()
+                .enumerate()
+                .map(|(k, id)| {
+                    Proposal::new(
+                        Candidate::Uniform(id),
+                        derive_seed_idx(ctx.noise_root, k as u64),
+                    )
+                })
+                .collect();
+            let times: Vec<f64> =
+                evaluate_proposals_scored(&ctx, &pool, &proposals, EvalMode::Scalar)
+                    .into_iter()
+                    .map(|s| s.time)
+                    .collect();
             let mut idx: Vec<usize> = (0..samples).collect();
             idx.sort_by(|a, b| times[*a].partial_cmp(&times[*b]).expect("finite"));
             let top_cvs = idx[..top.min(samples)]

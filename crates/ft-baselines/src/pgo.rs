@@ -5,8 +5,9 @@
 use ft_compiler::lru::CacheWeight;
 use ft_compiler::{CompiledModule, PgoError, PgoProfile};
 use ft_core::result::TuningResult;
-use ft_core::EvalContext;
+use ft_core::{evaluate_proposals_scored, Candidate, EvalContext, EvalMode, Proposal};
 use ft_flags::rng::derive_seed_idx;
+use ft_flags::CvPool;
 use ft_machine::{execute, link, try_execute, ExecOptions, RunOutcome};
 use serde::{Deserialize, Serialize};
 
@@ -27,11 +28,21 @@ pub struct PgoOutcome {
 pub fn pgo_tune(ctx: &EvalContext, seed: u64) -> PgoOutcome {
     let baseline_time = ctx.baseline_time(10);
     let base_cv = ctx.space().baseline();
+    // The `-O3` build PGO ships when it cannot use a profile, measured
+    // on the per-candidate resilient route (`+inf` if it faults).
+    let pool = CvPool::new();
+    let o3 = Candidate::Uniform(pool.intern(&base_cv));
 
     match PgoProfile::collect(&ctx.ir) {
         Err(PgoError::InstrumentationRunFailed { program }) => {
             // The program ships at plain -O3.
-            let t = ctx.eval_uniform_resilient(&base_cv, derive_seed_idx(seed, 1));
+            let t = evaluate_proposals_scored(
+                ctx,
+                &pool,
+                &[Proposal::new(o3.clone(), derive_seed_idx(seed, 1))],
+                EvalMode::Scalar,
+            )[0]
+            .time;
             PgoOutcome {
                 result: TuningResult {
                     algorithm: "PGO".into(),
@@ -112,7 +123,13 @@ pub fn pgo_tune(ctx: &EvalContext, seed: u64) -> PgoOutcome {
                     profiling_run_s,
                 }
             } else {
-                let t = ctx.eval_uniform_resilient(&base_cv, derive_seed_idx(seed, 3));
+                let t = evaluate_proposals_scored(
+                    ctx,
+                    &pool,
+                    &[Proposal::new(o3.clone(), derive_seed_idx(seed, 3))],
+                    EvalMode::Scalar,
+                )[0]
+                .time;
                 PgoOutcome {
                     result: TuningResult {
                         algorithm: "PGO".into(),

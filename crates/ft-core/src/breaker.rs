@@ -32,6 +32,17 @@
 //! cost ledger — and the `runs == ok + crashes + timeouts` invariant
 //! holds in every state because the breaker observes the ledger
 //! without writing it.
+//!
+//! Ordering: the breaker never advances inside a parallel map. The
+//! per-candidate funnel returns each evaluation's [`Attempts`], and the
+//! batch caller ([`crate::search::evaluate_proposals_scored`] or
+//! [`crate::collection::collect_candidates`]) records them in
+//! proposal-index order once the map is done. The breaker state, and
+//! with it the timeout budget, changes only between batches, so one
+//! driver's batch sequence trips at the same runs on every thread
+//! schedule. Concurrent phases of an overlapped schedule still
+//! interleave their batches in completion order; making that
+//! deterministic is out of scope here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -100,6 +111,29 @@ enum State {
     Closed { runs: u64, faults: u64 },
     Open { remaining: u64 },
     HalfOpen { runs: u64, faults: u64 },
+}
+
+/// The breaker-visible outcomes of one candidate evaluation: `crashes`
+/// faulty attempts, then the final attempt if one ended the
+/// evaluation (`Some(false)` ok, `Some(true)` timeout). `None` means no
+/// attempt ended it: a compile gate or quarantine skip (with no
+/// crashes), or retries exhausted. Fixed-size and `Copy`, so a batch
+/// holds one per proposal and records them without allocating.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Attempts {
+    pub(crate) crashes: u32,
+    pub(crate) last: Option<bool>,
+}
+
+impl Attempts {
+    /// `crashes` crashed attempts, then a final ok (`fault == false`)
+    /// or timeout (`fault == true`).
+    pub(crate) fn ended(crashes: u32, fault: bool) -> Attempts {
+        Attempts {
+            crashes,
+            last: Some(fault),
+        }
+    }
 }
 
 /// A fault-rate circuit breaker (see the module docs for the state
@@ -173,6 +207,16 @@ impl CircuitBreaker {
                     }
                 }
             }
+        }
+    }
+
+    /// Records one evaluation's attempts in the order they ran.
+    pub(crate) fn record_attempts(&self, attempts: Attempts) {
+        for _ in 0..attempts.crashes {
+            self.record(true);
+        }
+        if let Some(fault) = attempts.last {
+            self.record(fault);
         }
     }
 

@@ -7,6 +7,7 @@
 //! loops from the end-to-end time (§3.3) — it is never measured
 //! directly.
 
+use crate::breaker::Attempts;
 use crate::ctx::EvalContext;
 use crate::search::Candidate;
 use ft_caliper::Caliper;
@@ -171,10 +172,10 @@ impl MixedCollection {
     }
 }
 
-/// Runs the Figure-4 collection over arbitrary candidates: uniform
-/// probes take the interned uniform path, mixed-assignment probes are
-/// keyed through the same `(module, CV digest)` fingerprint space as
-/// the search evaluations — so a probe sharing `J - 1` modules with an
+/// Runs the Figure-4 collection over arbitrary candidates: every probe
+/// runs instrumented through the same per-candidate funnel, and so the
+/// same `(module, CV digest)` fingerprint space, as the search
+/// evaluations — so a probe sharing `J - 1` modules with an
 /// already-measured assignment reuses those objects (and, for
 /// duplicates, the whole link) from the caches. This is the
 /// strategy-drivable collection service behind
@@ -187,7 +188,7 @@ pub fn collect_candidates(
 ) -> MixedCollection {
     let j_total = ctx.modules();
     let hot: Vec<usize> = ctx.ir.hot_loop_ids();
-    let rows: Vec<(Vec<f64>, f64)> = candidates
+    let rows: Vec<(Vec<f64>, f64, Attempts)> = candidates
         .par_iter()
         .enumerate()
         .map(|(kk, cand)| {
@@ -197,16 +198,10 @@ pub fn collect_candidates(
             // candidate that ICEs, keeps crashing, or hangs yields
             // `+inf` — an all-`+inf` column that no per-loop ranking
             // can ever select.
-            let total = match cand {
-                Candidate::Uniform(id) => {
-                    ctx.profiled_uniform_id_resilient(pool, *id, noise, &caliper)
-                }
-                Candidate::PerLoop(ids) => {
-                    ctx.profiled_assignment_ids_resilient(pool, ids, noise, &caliper)
-                }
-            };
+            let (score, attempts) = ctx.evaluate(pool, cand, noise, Some(&caliper));
+            let total = score.time;
             if !total.is_finite() {
-                return (vec![f64::INFINITY; j_total], f64::INFINITY);
+                return (vec![f64::INFINITY; j_total], f64::INFINITY, attempts);
             }
             let snap = caliper.snapshot();
             // Measured hot-loop times; non-loop derived by subtraction.
@@ -218,13 +213,19 @@ pub fn collect_candidates(
                 hot_sum += t;
             }
             per_module[j_total - 1] = (total - hot_sum).max(0.0);
-            (per_module, total)
+            (per_module, total, attempts)
         })
         .collect();
+    // The breaker advances only here, in probe order.
+    if let Some(b) = ctx.breaker() {
+        for (_, _, attempts) in &rows {
+            b.record_attempts(*attempts);
+        }
+    }
 
     let mut per_module = vec![vec![0.0; candidates.len()]; j_total];
     let mut end_to_end = Vec::with_capacity(candidates.len());
-    for (kk, (row, total)) in rows.into_iter().enumerate() {
+    for (kk, (row, total, _)) in rows.into_iter().enumerate() {
         for (j, t) in row.into_iter().enumerate() {
             per_module[j][kk] = t;
         }

@@ -1,14 +1,15 @@
 //! Evaluation context: the compile → link → execute pipeline every
 //! search algorithm measures through.
 
-use crate::breaker::CircuitBreaker;
+use crate::breaker::{Attempts, CircuitBreaker};
 use crate::objective::{Objective, Score};
+use crate::search::Candidate;
 use crate::store::{self, ObjectStore};
 use ft_caliper::Caliper;
 use ft_compiler::lru::{CacheCapacity, CacheWeight};
 use ft_compiler::{CompiledModule, Compiler, FaultModel, Module, ObjectCache, ProgramIr};
 use ft_flags::rng::derive_seed_idx;
-use ft_flags::{Cv, CvId, CvPool, FlagSpace};
+use ft_flags::{Cv, CvPool, FlagSpace};
 use ft_machine::{
     execute, execute_batch_total, execute_profiled, execute_total, link, try_execute,
     try_execute_profiled, Architecture, BatchPlan, ExecOptions, ExecShape, FaultQuarantine,
@@ -523,27 +524,6 @@ impl EvalContext {
         }
     }
 
-    /// Compiles every module with one uniform CV, through the object
-    /// cache.
-    pub fn compile_uniform(&self, cv: &Cv) -> Vec<CompiledModule> {
-        self.ir
-            .modules
-            .iter()
-            .map(|m| self.compile_module_owned(m, cv))
-            .collect()
-    }
-
-    /// Compiles a per-module assignment through the object cache.
-    pub fn compile_assignment_cached(&self, assignment: &[Cv]) -> Vec<CompiledModule> {
-        assert_eq!(self.ir.modules.len(), assignment.len(), "one CV per module");
-        self.ir
-            .modules
-            .iter()
-            .zip(assignment)
-            .map(|(m, cv)| self.compile_module_owned(m, cv))
-            .collect()
-    }
-
     /// Counters of the object and link caching layers. With a shared
     /// store, hits/misses are this context's own lookups (so per-row
     /// ledgers still balance) while evictions are store-global.
@@ -595,41 +575,67 @@ impl EvalContext {
         }
     }
 
-    /// Links every module compiled with one uniform CV, through both
-    /// caches.
-    pub fn linked_uniform(&self, cv: &Cv) -> Arc<LinkedProgram> {
-        let digests = vec![cv.digest(); self.ir.len()];
-        self.link_digests(&digests, || self.compile_uniform(cv))
-    }
-
     /// Links a per-module assignment through both caches.
     pub fn linked_assignment(&self, assignment: &[Cv]) -> Arc<LinkedProgram> {
         assert_eq!(assignment.len(), self.ir.len(), "one CV per module");
         let digests: Vec<u64> = assignment.iter().map(|cv| cv.digest()).collect();
-        self.link_digests(&digests, || self.compile_assignment_cached(assignment))
-    }
-
-    /// Interned-handle variant of [`EvalContext::linked_uniform`]: the
-    /// compile-and-link half of `eval_uniform_id_resilient`, split out
-    /// so the batch executor can run many linked candidates at once.
-    pub fn linked_uniform_id(&self, pool: &CvPool, id: CvId) -> Arc<LinkedProgram> {
-        let digests = vec![pool.digest(id); self.ir.len()];
-        self.link_digests(&digests, || self.compile_uniform(&pool.get(id)))
-    }
-
-    /// Interned-handle variant of [`EvalContext::linked_assignment`]:
-    /// the compile-and-link half of `eval_assignment_ids_resilient`.
-    pub fn linked_assignment_ids(&self, pool: &CvPool, ids: &[CvId]) -> Arc<LinkedProgram> {
-        assert_eq!(ids.len(), self.ir.len(), "one CV per module");
-        let digests = pool.digests(ids);
         self.link_digests(&digests, || {
             self.ir
                 .modules
                 .iter()
-                .zip(ids)
-                .map(|(m, id)| self.compile_module_owned(m, &pool.get(*id)))
+                .zip(assignment)
+                .map(|(m, cv)| self.compile_module_owned(m, cv))
                 .collect()
         })
+    }
+
+    /// Per-module CV digests of an interned candidate: the link-cache
+    /// key and the fault model's input.
+    fn candidate_digests(&self, pool: &CvPool, candidate: &Candidate) -> Vec<u64> {
+        match candidate {
+            Candidate::Uniform(id) => vec![pool.digest(*id); self.ir.len()],
+            Candidate::PerLoop(ids) => {
+                assert_eq!(ids.len(), self.ir.len(), "one CV per module");
+                pool.digests(ids)
+            }
+        }
+    }
+
+    /// Links an interned candidate under its precomputed `digests`,
+    /// compiling (through the object cache) only on a link miss.
+    fn link_candidate_digests(
+        &self,
+        pool: &CvPool,
+        candidate: &Candidate,
+        digests: &[u64],
+    ) -> Arc<LinkedProgram> {
+        self.link_digests(digests, || {
+            self.ir
+                .modules
+                .iter()
+                .enumerate()
+                .map(|(j, m)| {
+                    let id = match candidate {
+                        Candidate::Uniform(id) => *id,
+                        Candidate::PerLoop(ids) => ids[j],
+                    };
+                    self.compile_module_owned(m, &pool.get(id))
+                })
+                .collect()
+        })
+    }
+
+    /// The compile-and-link half of [`EvalContext::evaluate`], split
+    /// out so the batched arm of
+    /// [`crate::search::evaluate_proposals_scored`] can execute many
+    /// linked candidates at once.
+    pub(crate) fn link_candidate(
+        &self,
+        pool: &CvPool,
+        candidate: &Candidate,
+    ) -> Arc<LinkedProgram> {
+        let digests = self.candidate_digests(pool, candidate);
+        self.link_candidate_digests(pool, candidate, &digests)
     }
 
     /// The lane-oriented execution plan for this context's `(program,
@@ -647,7 +653,7 @@ impl EvalContext {
     /// each under its own noise seed, charging the ledger one run per
     /// lane. Per lane, the returned time is bit-identical to
     /// `execute_total` under `ExecOptions::new(self.steps, seed)`.
-    pub fn execute_linked_batch(&self, lanes: &[(&LinkedProgram, u64)]) -> Vec<f64> {
+    pub(crate) fn execute_linked_batch(&self, lanes: &[(&LinkedProgram, u64)]) -> Vec<f64> {
         let totals = execute_batch_total(self.batch_plan(), lanes);
         for t in &totals {
             self.charge_run(*t);
@@ -667,49 +673,12 @@ impl EvalContext {
 
     /// Evaluates one uniform CV (traditional compilation model).
     pub fn eval_uniform(&self, cv: &Cv, noise_seed: u64) -> RunMeasurement {
-        let linked = self.linked_uniform(cv);
-        let meas = execute(
-            &linked,
-            &self.arch,
-            &ExecOptions::new(self.steps, noise_seed),
-        );
-        self.charge(&meas);
-        meas
+        self.eval_assignment(&vec![cv.clone(); self.ir.len()], noise_seed)
     }
 
     /// Evaluates a per-module assignment (one CV per module).
     pub fn eval_assignment(&self, assignment: &[Cv], noise_seed: u64) -> RunMeasurement {
         let linked = self.linked_assignment(assignment);
-        let meas = execute(
-            &linked,
-            &self.arch,
-            &ExecOptions::new(self.steps, noise_seed),
-        );
-        self.charge(&meas);
-        meas
-    }
-
-    /// Evaluates an interned assignment (one [`CvId`] per module) with
-    /// `pool` resolving the handles. Equivalent to
-    /// [`EvalContext::eval_assignment`] on the materialized CVs, but
-    /// without cloning any vector data: digests come memoized from the
-    /// pool and objects/links from the caches.
-    pub fn eval_assignment_ids(
-        &self,
-        pool: &CvPool,
-        ids: &[CvId],
-        noise_seed: u64,
-    ) -> RunMeasurement {
-        assert_eq!(ids.len(), self.ir.len(), "one CV per module");
-        let digests = pool.digests(ids);
-        let linked = self.link_digests(&digests, || {
-            self.ir
-                .modules
-                .iter()
-                .zip(ids)
-                .map(|(m, id)| self.compile_module_owned(m, &pool.get(*id)))
-                .collect()
-        });
         let meas = execute(
             &linked,
             &self.arch,
@@ -838,9 +807,15 @@ impl EvalContext {
         times.iter().sum::<f64>() / f64::from(repeats.max(1))
     }
 
-    /// The resilient compile → link → execute core every fault-aware
-    /// path funnels through. Returns the end-to-end time, or `+inf`
-    /// when the candidate is unusable (ICE, persistent crash, hang).
+    /// The per-candidate evaluation funnel: compile → link → execute
+    /// one interned candidate under `noise_seed`. Every scalar search
+    /// evaluation and every collection probe runs through here.
+    ///
+    /// A successful run pairs its end-to-end time with the linked
+    /// executable's modeled size ([`LinkedProgram::weight_bytes`], a
+    /// pure function of the digest assignment); an unusable candidate
+    /// (ICE, persistent crash, hang) is [`Score::faulted`] (both
+    /// coordinates `+inf`), so it loses under every objective.
     ///
     /// * Compile gate: a `(module, CV)` pair that ICEs produces no
     ///   object — nothing links, nothing runs, nothing is charged, and
@@ -856,39 +831,21 @@ impl EvalContext {
     ///
     /// With a caliper, successful attempts run instrumented and record
     /// per-module times into it (the Figure-4 collection path).
-    fn eval_digests_resilient<F>(
+    ///
+    /// The ledger and quarantine are updated here; the circuit breaker
+    /// is not. The returned [`Attempts`] are the breaker-visible
+    /// outcomes, which the batch caller records in proposal order once
+    /// its parallel map is done.
+    pub(crate) fn evaluate(
         &self,
-        digests: &[u64],
+        pool: &CvPool,
+        candidate: &Candidate,
         noise_seed: u64,
-        compile: F,
         caliper: Option<&Caliper>,
-    ) -> f64
-    where
-        F: FnOnce() -> Vec<CompiledModule>,
-    {
-        self.eval_digests_scored(digests, noise_seed, compile, caliper)
-            .time
-    }
-
-    /// The scored funnel behind [`EvalContext::eval_digests_resilient`]
-    /// — one code path, so time bits cannot drift between the scalar
-    /// and scored views. A successful run pairs its end-to-end time
-    /// with the linked executable's modeled size
-    /// ([`LinkedProgram::weight_bytes`], a pure function of the digest
-    /// assignment); an unusable candidate is [`Score::faulted`] (both
-    /// coordinates `+inf`), so it loses under every objective.
-    fn eval_digests_scored<F>(
-        &self,
-        digests: &[u64],
-        noise_seed: u64,
-        compile: F,
-        caliper: Option<&Caliper>,
-    ) -> Score
-    where
-        F: FnOnce() -> Vec<CompiledModule>,
-    {
+    ) -> (Score, Attempts) {
+        let digests = self.candidate_digests(pool, candidate);
         if self.faults.is_zero() {
-            let linked = self.link_digests(digests, compile);
+            let linked = self.link_candidate_digests(pool, candidate, &digests);
             let total_s = match caliper {
                 Some(c) => {
                     execute_profiled(
@@ -899,9 +856,9 @@ impl EvalContext {
                     )
                     .total_s
                 }
-                // The batched hot path: only the end-to-end time is
-                // kept, so skip the per-module vector allocation
-                // entirely (bit-identical sum order).
+                // Only the end-to-end time is kept, so skip the
+                // per-module vector allocation entirely (bit-identical
+                // sum order).
                 None => execute_total(
                     &linked,
                     &self.arch,
@@ -909,29 +866,30 @@ impl EvalContext {
                 ),
             };
             self.charge_run(total_s);
-            if let Some(b) = &self.breaker {
-                b.record(false);
-            }
-            return Score::new(total_s, linked.weight_bytes());
+            return (
+                Score::new(total_s, linked.weight_bytes()),
+                Attempts::ended(0, false),
+            );
         }
         for (module, digest) in digests.iter().enumerate() {
             if self.quarantine.compile_is_bad(module, *digest) {
                 self.quarantine_skips.fetch_add(1, Ordering::Relaxed);
-                return Score::faulted();
+                return (Score::faulted(), Attempts::default());
             }
             if self.faults.compile_fails(module, *digest) {
                 self.compile_failures.fetch_add(1, Ordering::Relaxed);
                 self.quarantine.ban_compile(module, *digest);
-                return Score::faulted();
+                return (Score::faulted(), Attempts::default());
             }
         }
-        let fp = FaultModel::program_fingerprint(digests);
+        let fp = FaultModel::program_fingerprint(&digests);
         if self.quarantine.program_is_bad(fp) {
             self.quarantine_skips.fetch_add(1, Ordering::Relaxed);
-            return Score::faulted();
+            return (Score::faulted(), Attempts::default());
         }
-        let linked = self.link_digests(digests, compile);
+        let linked = self.link_candidate_digests(pool, candidate, &digests);
         let budget = self.timeout_budget();
+        let mut crashes = 0;
         for attempt in 0..=self.resilience.max_retries {
             let seed = if attempt == 0 {
                 noise_seed
@@ -958,17 +916,15 @@ impl EvalContext {
             match outcome {
                 RunOutcome::Ok(meas) => {
                     self.charge(&meas);
-                    if let Some(b) = &self.breaker {
-                        b.record(false);
-                    }
-                    return Score::new(meas.total_s, linked.weight_bytes());
+                    return (
+                        Score::new(meas.total_s, linked.weight_bytes()),
+                        Attempts::ended(crashes, false),
+                    );
                 }
                 RunOutcome::Crash { elapsed_s } => {
                     self.crashes.fetch_add(1, Ordering::Relaxed);
                     self.charge_failed(elapsed_s);
-                    if let Some(b) = &self.breaker {
-                        b.record(true);
-                    }
+                    crashes += 1;
                     if attempt < self.resilience.max_retries {
                         self.retries.fetch_add(1, Ordering::Relaxed);
                     }
@@ -976,216 +932,21 @@ impl EvalContext {
                 RunOutcome::Timeout { budget_s } => {
                     self.timeouts.fetch_add(1, Ordering::Relaxed);
                     self.charge_failed(budget_s);
-                    if let Some(b) = &self.breaker {
-                        b.record(true);
-                    }
                     self.quarantine.ban_program(fp);
-                    return Score::faulted();
+                    return (Score::faulted(), Attempts::ended(crashes, true));
                 }
                 RunOutcome::CompileError { .. } => {
                     unreachable!("compile faults are gated before linking")
                 }
             }
         }
-        Score::faulted()
-    }
-
-    /// Fault-aware [`EvalContext::eval_uniform`]: end-to-end time, or
-    /// `+inf` for an unusable CV. Bit-identical to the infallible path
-    /// under the all-zero fault model.
-    pub fn eval_uniform_resilient(&self, cv: &Cv, noise_seed: u64) -> f64 {
-        let digests = vec![cv.digest(); self.ir.len()];
-        self.eval_digests_resilient(&digests, noise_seed, || self.compile_uniform(cv), None)
-    }
-
-    /// Fault-aware [`EvalContext::eval_assignment`].
-    pub fn eval_assignment_resilient(&self, assignment: &[Cv], noise_seed: u64) -> f64 {
-        assert_eq!(assignment.len(), self.ir.len(), "one CV per module");
-        let digests: Vec<u64> = assignment.iter().map(|cv| cv.digest()).collect();
-        self.eval_digests_resilient(
-            &digests,
-            noise_seed,
-            || self.compile_assignment_cached(assignment),
-            None,
-        )
-    }
-
-    /// Fault-aware [`EvalContext::eval_assignment_ids`].
-    pub fn eval_assignment_ids_resilient(
-        &self,
-        pool: &CvPool,
-        ids: &[CvId],
-        noise_seed: u64,
-    ) -> f64 {
-        assert_eq!(ids.len(), self.ir.len(), "one CV per module");
-        let digests = pool.digests(ids);
-        self.eval_digests_resilient(
-            &digests,
-            noise_seed,
-            || {
-                self.ir
-                    .modules
-                    .iter()
-                    .zip(ids)
-                    .map(|(m, id)| self.compile_module_owned(m, &pool.get(*id)))
-                    .collect()
+        (
+            Score::faulted(),
+            Attempts {
+                crashes,
+                last: None,
             },
-            None,
         )
-    }
-
-    /// Interned-handle variant of
-    /// [`EvalContext::eval_uniform_resilient`]: same digests, same
-    /// compile calls, same noise seed — bit-identical times without
-    /// materializing the `Cv` out of the pool.
-    pub fn eval_uniform_id_resilient(&self, pool: &CvPool, id: CvId, noise_seed: u64) -> f64 {
-        self.eval_uniform_id_scored(pool, id, noise_seed).time
-    }
-
-    /// Scored [`EvalContext::eval_uniform_id_resilient`]: the same
-    /// funnel call, so the time coordinate is bit-identical — plus the
-    /// linked executable's code bytes.
-    pub fn eval_uniform_id_scored(&self, pool: &CvPool, id: CvId, noise_seed: u64) -> Score {
-        let digests = vec![pool.digest(id); self.ir.len()];
-        self.eval_digests_scored(
-            &digests,
-            noise_seed,
-            || self.compile_uniform(&pool.get(id)),
-            None,
-        )
-    }
-
-    /// Scored [`EvalContext::eval_assignment_ids_resilient`].
-    pub fn eval_assignment_ids_scored(
-        &self,
-        pool: &CvPool,
-        ids: &[CvId],
-        noise_seed: u64,
-    ) -> Score {
-        assert_eq!(ids.len(), self.ir.len(), "one CV per module");
-        let digests = pool.digests(ids);
-        self.eval_digests_scored(
-            &digests,
-            noise_seed,
-            || {
-                self.ir
-                    .modules
-                    .iter()
-                    .zip(ids)
-                    .map(|(m, id)| self.compile_module_owned(m, &pool.get(*id)))
-                    .collect()
-            },
-            None,
-        )
-    }
-
-    /// Fault-aware instrumented run of one uniform CV for the
-    /// collection phase: per-module times are recorded into `caliper`
-    /// only when an attempt succeeds. Returns the end-to-end time
-    /// (`+inf` for a faulty CV).
-    pub fn profiled_uniform_resilient(&self, cv: &Cv, noise_seed: u64, caliper: &Caliper) -> f64 {
-        let digests = vec![cv.digest(); self.ir.len()];
-        self.eval_digests_resilient(
-            &digests,
-            noise_seed,
-            || self.compile_uniform(cv),
-            Some(caliper),
-        )
-    }
-
-    /// Interned-handle variant of
-    /// [`EvalContext::profiled_uniform_resilient`] — the collection
-    /// path for `Uniform(id)` probes.
-    pub fn profiled_uniform_id_resilient(
-        &self,
-        pool: &CvPool,
-        id: CvId,
-        noise_seed: u64,
-        caliper: &Caliper,
-    ) -> f64 {
-        let digests = vec![pool.digest(id); self.ir.len()];
-        self.eval_digests_resilient(
-            &digests,
-            noise_seed,
-            || self.compile_uniform(&pool.get(id)),
-            Some(caliper),
-        )
-    }
-
-    /// Fault-aware instrumented run of a mixed (per-module) assignment
-    /// given by interned handles: the collection path for
-    /// `PerLoop(ids)` probes. Keyed through the same digest space as
-    /// [`EvalContext::eval_assignment_ids_resilient`], so a probe that
-    /// shares `J - 1` modules with an already-evaluated assignment
-    /// reuses those objects (and its link, when identical) from the
-    /// caches.
-    pub fn profiled_assignment_ids_resilient(
-        &self,
-        pool: &CvPool,
-        ids: &[CvId],
-        noise_seed: u64,
-        caliper: &Caliper,
-    ) -> f64 {
-        assert_eq!(ids.len(), self.ir.len(), "one CV per module");
-        let digests = pool.digests(ids);
-        self.eval_digests_resilient(
-            &digests,
-            noise_seed,
-            || {
-                self.ir
-                    .modules
-                    .iter()
-                    .zip(ids)
-                    .map(|(m, id)| self.compile_module_owned(m, &pool.get(*id)))
-                    .collect()
-            },
-            Some(caliper),
-        )
-    }
-
-    /// Evaluates many uniform CVs in parallel; returns end-to-end
-    /// times aligned with `cvs` (`+inf` marks unusable candidates
-    /// under a nonzero fault model).
-    pub fn eval_uniform_batch(&self, cvs: &[Cv]) -> Vec<f64> {
-        cvs.par_iter()
-            .enumerate()
-            .map(|(k, cv)| {
-                self.eval_uniform_resilient(cv, derive_seed_idx(self.noise_root, k as u64))
-            })
-            .collect()
-    }
-
-    /// Evaluates many assignments in parallel; returns end-to-end
-    /// times aligned with `assignments`.
-    pub fn eval_assignment_batch(&self, assignments: &[Vec<Cv>]) -> Vec<f64> {
-        assignments
-            .par_iter()
-            .enumerate()
-            .map(|(k, a)| {
-                self.eval_assignment_resilient(
-                    a,
-                    derive_seed_idx(self.noise_root ^ 0xA551, k as u64),
-                )
-            })
-            .collect()
-    }
-
-    /// Interned-handle variant of [`EvalContext::eval_assignment_batch`]:
-    /// candidate `k` gets the same derived noise seed, so the returned
-    /// times are bit-identical to evaluating the materialized
-    /// assignments — without K×J `Cv` clones.
-    pub fn eval_assignment_batch_ids(&self, pool: &CvPool, assignments: &[Vec<CvId>]) -> Vec<f64> {
-        assignments
-            .par_iter()
-            .enumerate()
-            .map(|(k, ids)| {
-                self.eval_assignment_ids_resilient(
-                    pool,
-                    ids,
-                    derive_seed_idx(self.noise_root ^ 0xA551, k as u64),
-                )
-            })
-            .collect()
     }
 }
 
@@ -1214,7 +975,30 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::ctx_for;
     use super::*;
+    use crate::search::{evaluate_proposals_scored, EvalMode, Proposal};
     use ft_flags::rng::rng_for;
+
+    /// Evaluates uniform CVs through the batch entry point on the
+    /// per-candidate route, candidate `k` under
+    /// `derive_seed_idx(noise_root, k)`.
+    fn uniform_batch(ctx: &EvalContext, cvs: &[Cv]) -> Vec<f64> {
+        let pool = CvPool::new();
+        let proposals: Vec<Proposal> = pool
+            .intern_all(cvs)
+            .into_iter()
+            .enumerate()
+            .map(|(k, id)| {
+                Proposal::new(
+                    Candidate::Uniform(id),
+                    derive_seed_idx(ctx.noise_root, k as u64),
+                )
+            })
+            .collect();
+        evaluate_proposals_scored(ctx, &pool, &proposals, EvalMode::Scalar)
+            .into_iter()
+            .map(|s| s.time)
+            .collect()
+    }
 
     #[test]
     fn uniform_eval_is_deterministic() {
@@ -1230,7 +1014,7 @@ mod tests {
     fn batch_matches_individual() {
         let ctx = ctx_for("swim", Some(5));
         let cvs = ctx.space().sample_many(8, &mut rng_for(2, "b"));
-        let batch = ctx.eval_uniform_batch(&cvs);
+        let batch = uniform_batch(&ctx, &cvs);
         for (k, cv) in cvs.iter().enumerate() {
             let single = ctx.eval_uniform(cv, derive_seed_idx(ctx.noise_root, k as u64));
             assert_eq!(batch[k], single.total_s);
@@ -1273,7 +1057,7 @@ mod tests {
     fn cache_ledger_balances() {
         let ctx = ctx_for("swim", Some(5));
         let cvs = ctx.space().sample_many(12, &mut rng_for(3, "ledger"));
-        let _ = ctx.eval_uniform_batch(&cvs);
+        let _ = uniform_batch(&ctx, &cvs);
         let s = ctx.cache_stats();
         assert_eq!(s.object_hits + s.object_misses, s.object_lookups);
         assert_eq!(s.object_computes, s.object_misses);
@@ -1288,8 +1072,8 @@ mod tests {
         let bounded = ctx_for("swim", Some(5)).with_cache_capacity(CacheCapacity::Entries(1));
         let cvs = unbounded.space().sample_many(16, &mut rng_for(4, "cap"));
         assert_eq!(
-            unbounded.eval_uniform_batch(&cvs),
-            bounded.eval_uniform_batch(&cvs),
+            uniform_batch(&unbounded, &cvs),
+            uniform_batch(&bounded, &cvs),
             "eviction must never change a measurement"
         );
         let s = bounded.cache_stats();
@@ -1306,9 +1090,9 @@ mod tests {
         let a = ctx_for("swim", Some(5)).with_shared_store(store.clone());
         let b = ctx_for("swim", Some(5)).with_shared_store(store.clone());
         let cvs = owned.space().sample_many(10, &mut rng_for(5, "share"));
-        let t_owned = owned.eval_uniform_batch(&cvs);
-        let t_a = a.eval_uniform_batch(&cvs);
-        let t_b = b.eval_uniform_batch(&cvs);
+        let t_owned = uniform_batch(&owned, &cvs);
+        let t_a = uniform_batch(&a, &cvs);
+        let t_b = uniform_batch(&b, &cvs);
         assert_eq!(t_owned, t_a, "store borrow must not change results");
         assert_eq!(t_a, t_b);
         // The second context compiled and linked nothing: every link

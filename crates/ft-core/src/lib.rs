@@ -78,9 +78,8 @@ pub use remote::{
 };
 pub use result::{ParetoPoint, TuningResult};
 pub use search::{
-    argmin_finite, evaluate_proposals, evaluate_proposals_scored, pareto_points, strictly_better,
-    Candidate, CollectionRequest, EvalMode, History, Observation, Proposal, SearchDriver,
-    SearchStrategy,
+    argmin_finite, evaluate_proposals_scored, pareto_points, strictly_better, Candidate,
+    CollectionRequest, EvalMode, History, Observation, Proposal, SearchDriver, SearchStrategy,
 };
 pub use server::{
     arch_by_name, AdmissionError, CampaignSpec, ProgressEvent, ServerConfig, ServerReport,

@@ -6,7 +6,7 @@
 //! proposes [`Candidate`]s as interned [`CvId`] handles (uniform
 //! whole-program CVs or per-loop assignments), each carrying the noise
 //! seed its historical RNG stream dictates; the driver evaluates them
-//! through the batched resilient id paths (sharded caches, fault
+//! through [`evaluate_proposals_scored`] (sharded caches, fault
 //! quarantine, the [`crate::cost::TuningCost`] ledger), records the
 //! timeline uniformly, feeds observations back, and only materializes
 //! the winning `Cv`s once, at the end. Collection is a driver service
@@ -20,6 +20,7 @@
 //! `(evaluations, timeline digest, winner digest, best_time bits)`
 //! captured from the pre-trait implementations.
 
+use crate::breaker::Attempts;
 use crate::collection::{collect_candidates, MixedCollection};
 use crate::ctx::EvalContext;
 use crate::objective::{pareto_front, Objective, Score};
@@ -282,36 +283,21 @@ impl<'a> SearchDriver<'a> {
     }
 }
 
-/// Evaluates a proposal batch against a context — the single local
-/// evaluation routine shared by the in-process driver and the remote
-/// plane's workers (which is what makes a worker's bits identical to a
-/// serial run by construction). Candidates are pure functions of their
-/// (digests, noise seed) inputs and the ledger counters are atomic, so
-/// both routes are observationally identical to the sequential loop
-/// they replace — and bit-identical to each other.
+/// Evaluates a proposal batch against a context — the single
+/// evaluation entry point, shared by the in-process driver and the
+/// remote plane's workers (which is what makes a worker's bits
+/// identical to a serial run by construction). Candidates are pure
+/// functions of their (digests, noise seed) inputs and the ledger
+/// counters are atomic, so both routes are observationally identical
+/// to the sequential loop they replace — and bit-identical to each
+/// other. Each candidate's `code_bytes` is its linked executable's
+/// modeled size, a pure function of the digest assignment.
 ///
 /// The batched route only serves infallible contexts: compile gates,
 /// retries, and quarantine are per-candidate control flow that the
 /// lane kernel deliberately excludes, so a fault-injecting context
-/// stays on the scalar path.
-pub fn evaluate_proposals(
-    ctx: &EvalContext,
-    pool: &CvPool,
-    proposals: &[Proposal],
-    mode: EvalMode,
-) -> Vec<f64> {
-    evaluate_proposals_scored(ctx, pool, proposals, mode)
-        .into_iter()
-        .map(|s| s.time)
-        .collect()
-}
-
-/// The scored batch evaluator behind [`evaluate_proposals`] — the one
-/// code path, so the time coordinates are bit-identical to the
-/// time-only view by construction. Each candidate's `code_bytes` is
-/// its linked executable's modeled size, a pure function of the digest
-/// assignment (no extra cache traffic: the batched route already holds
-/// the linked programs, the scalar route reads it inside the funnel).
+/// stays on the scalar route through the context's per-candidate
+/// funnel.
 pub fn evaluate_proposals_scored(
     ctx: &EvalContext,
     pool: &CvPool,
@@ -323,19 +309,23 @@ pub fn evaluate_proposals_scored(
     // fault precisely, which is the breaker's whole point — and
     // the two paths are bit-identical, so degrading is value-safe.
     if mode == EvalMode::Scalar || !ctx.faults().is_zero() || !ctx.batched_allowed() {
-        return proposals
+        let evaluated: Vec<(Score, Attempts)> = proposals
             .par_iter()
-            .map(|p| evaluate_one_scored(ctx, pool, p))
+            .map(|p| ctx.evaluate(pool, &p.candidate, p.noise_seed, None))
             .collect();
+        // The breaker advances only here, in proposal order.
+        if let Some(b) = ctx.breaker() {
+            for (_, attempts) in &evaluated {
+                b.record_attempts(*attempts);
+            }
+        }
+        return evaluated.into_iter().map(|(s, _)| s).collect();
     }
     // Link phase: compile + link every proposal through the caches
     // (deduplicated, single-flight), in parallel.
     let linked: Vec<Arc<LinkedProgram>> = proposals
         .par_iter()
-        .map(|p| match &p.candidate {
-            Candidate::Uniform(id) => ctx.linked_uniform_id(pool, *id),
-            Candidate::PerLoop(ids) => ctx.linked_assignment_ids(pool, ids),
-        })
+        .map(|p| ctx.link_candidate(pool, &p.candidate))
         .collect();
     let lanes: Vec<(&LinkedProgram, u64)> = linked
         .iter()
@@ -360,13 +350,6 @@ pub fn evaluate_proposals_scored(
         .zip(&linked)
         .map(|(t, l)| Score::new(t, l.weight_bytes()))
         .collect()
-}
-
-fn evaluate_one_scored(ctx: &EvalContext, pool: &CvPool, p: &Proposal) -> Score {
-    match &p.candidate {
-        Candidate::Uniform(id) => ctx.eval_uniform_id_scored(pool, *id, p.noise_seed),
-        Candidate::PerLoop(ids) => ctx.eval_assignment_ids_scored(pool, ids, p.noise_seed),
-    }
 }
 
 /// Materializes a candidate into the per-module `Vec<Cv>` a

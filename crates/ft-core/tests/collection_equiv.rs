@@ -13,7 +13,7 @@ use ft_compiler::{Compiler, FaultModel};
 use ft_core::{collect, collect_candidates, Candidate, EvalContext, MixedCollection, TuningCost};
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::CvPool;
-use ft_machine::Architecture;
+use ft_machine::{execute_profiled, link, Architecture, ExecOptions};
 use ft_outline::outline_with_defaults;
 use ft_workloads::workload_by_name;
 use rand::Rng;
@@ -68,8 +68,9 @@ fn uniform_collection_is_byte_identical_to_the_prepool_path() {
             .sample_many(k, &mut rng_for(seed, "collection-cvs"))
     };
 
-    // Reference: the pre-pool implementation — one Cv-based profiled
-    // probe per sampled CV, sequential, same seed schedule.
+    // Reference: the pre-pool implementation, uncached — one Cv-based
+    // compile → link → profiled execute per sampled CV, sequential,
+    // same seed schedule.
     let ctx_ref = mk_ctx();
     let j_total = ctx_ref.modules();
     let hot: Vec<usize> = ctx_ref.ir.hot_loop_ids();
@@ -78,7 +79,18 @@ fn uniform_collection_is_byte_identical_to_the_prepool_path() {
     for (kk, cv) in cvs.iter().enumerate() {
         let caliper = Caliper::real_time();
         let noise = derive_seed_idx(seed ^ 0x0C01_1EC7, kk as u64);
-        let total = ctx_ref.profiled_uniform_resilient(cv, noise, &caliper);
+        let linked = link(
+            ctx_ref.compiler.compile_program(&ctx_ref.ir, cv),
+            &ctx_ref.ir,
+            &ctx_ref.arch,
+        );
+        let total = execute_profiled(
+            &linked,
+            &ctx_ref.arch,
+            &ExecOptions::instrumented(ctx_ref.steps, noise),
+            &caliper,
+        )
+        .total_s;
         let snap = caliper.snapshot();
         let mut hot_sum = 0.0;
         for &j in &hot {

@@ -16,7 +16,10 @@
 //!    the uninterrupted result.
 
 use ft_compiler::{Compiler, FaultModel};
-use ft_core::{EvalContext, Phase, Tuner, TuningRun};
+use ft_core::{
+    evaluate_proposals_scored, Candidate, EvalContext, EvalMode, Phase, Proposal, Tuner, TuningRun,
+};
+use ft_flags::CvPool;
 use ft_machine::Architecture;
 use ft_outline::outline_with_defaults;
 use ft_workloads::{workload_by_name, Workload};
@@ -265,8 +268,13 @@ proptest! {
         let a_ctx = ctx_with(faults);
         let b_ctx = ctx_with(faults);
         let cv = a_ctx.space().sample(&mut ft_flags::rng::rng_for(cv_seed, "replay"));
-        let a = a_ctx.eval_uniform_resilient(&cv, noise);
-        let b = b_ctx.eval_uniform_resilient(&cv, noise);
+        let eval = |ctx: &EvalContext| {
+            let pool = CvPool::new();
+            let p = Proposal::new(Candidate::Uniform(pool.intern(&cv)), noise);
+            evaluate_proposals_scored(ctx, &pool, &[p], EvalMode::Scalar)[0].time
+        };
+        let a = eval(&a_ctx);
+        let b = eval(&b_ctx);
         prop_assert_eq!(
             a.to_bits(), b.to_bits(),
             "same (fault seed, rates, CV, noise) must replay identically: {} vs {}", a, b

@@ -4,12 +4,12 @@
 
 use ft_compiler::{Compiler, FaultModel};
 use ft_core::{
-    Candidate, EvalContext, History, Observation, Proposal, SearchDriver, SearchStrategy,
-    TuningResult,
+    evaluate_proposals_scored, Candidate, EvalContext, EvalMode, History, Observation, Proposal,
+    SearchDriver, SearchStrategy, TuningResult,
 };
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvId, CvPool};
-use ft_machine::Architecture;
+use ft_machine::{execute, link, Architecture, ExecOptions};
 use ft_outline::outline_with_defaults;
 use ft_workloads::workload_by_name;
 use proptest::prelude::*;
@@ -47,9 +47,10 @@ proptest! {
         prop_assert_eq!(pool.intern_all(&cvs), ids);
     }
 
-    /// `eval_assignment_batch_ids` returns bit-identical times to the
-    /// seed implementation's `eval_assignment_batch` on the
-    /// materialized assignments — for any pool seed, pool size, and
+    /// Per-loop proposals through `evaluate_proposals_scored` return
+    /// bit-identical times to the uncached compile → link → execute
+    /// path on the materialized assignments, under the historical
+    /// assignment-batch seeds — for any pool seed, pool size, and
     /// batch size, on a fresh context each (so neither path ever warms
     /// the caches for the other).
     #[test]
@@ -69,12 +70,28 @@ proptest! {
                     .collect()
             })
             .collect();
-        let via_ids = ctx_ids.eval_assignment_batch_ids(&pool, &id_assignments);
+        let seed_of = |ctx: &EvalContext, k: usize| derive_seed_idx(ctx.noise_root ^ 0xA551, k as u64);
+        let proposals: Vec<Proposal> = id_assignments
+            .iter()
+            .enumerate()
+            .map(|(k, a)| Proposal::new(Candidate::PerLoop(a.clone()), seed_of(&ctx_ids, k)))
+            .collect();
+        let via_ids: Vec<f64> = evaluate_proposals_scored(&ctx_ids, &pool, &proposals, EvalMode::Scalar)
+            .into_iter()
+            .map(|s| s.time)
+            .collect();
 
         let ctx_cvs = mk_ctx();
-        let cv_assignments: Vec<Vec<ft_flags::Cv>> =
-            id_assignments.iter().map(|a| pool.materialize(a)).collect();
-        let via_cvs = ctx_cvs.eval_assignment_batch(&cv_assignments);
+        let via_cvs: Vec<f64> = id_assignments
+            .iter()
+            .enumerate()
+            .map(|(k, a)| {
+                let objects = ctx_cvs.compiler.compile_mixed(&ctx_cvs.ir, &pool.materialize(a));
+                let linked = link(objects, &ctx_cvs.ir, &ctx_cvs.arch);
+                execute(&linked, &ctx_cvs.arch, &ExecOptions::new(ctx_cvs.steps, seed_of(&ctx_cvs, k)))
+                    .total_s
+            })
+            .collect();
 
         prop_assert_eq!(via_ids.len(), via_cvs.len());
         for (a, b) in via_ids.iter().zip(&via_cvs) {
@@ -83,8 +100,9 @@ proptest! {
     }
 
     /// A one-shot strategy driven through [`SearchDriver`] observes
-    /// bit-identical times to calling `eval_uniform_resilient` on the
-    /// materialized CVs directly — clean and under the fault testbed,
+    /// bit-identical times to evaluating each CV directly, one
+    /// sequential one-proposal batch at a time — clean and under the
+    /// fault testbed,
     /// on a fresh context per path (so neither path warms the caches
     /// or the quarantine for the other).
     #[test]
@@ -104,10 +122,17 @@ proptest! {
         };
 
         let ctx_direct = mk_ctx().with_faults(faults);
+        let direct_pool = CvPool::new();
         let direct: Vec<f64> = cvs
             .iter()
             .enumerate()
-            .map(|(i, cv)| ctx_direct.eval_uniform_resilient(cv, derive_seed_idx(seed, i as u64)))
+            .map(|(i, cv)| {
+                let p = Proposal::new(
+                    Candidate::Uniform(direct_pool.intern(cv)),
+                    derive_seed_idx(seed, i as u64),
+                );
+                evaluate_proposals_scored(&ctx_direct, &direct_pool, &[p], EvalMode::Scalar)[0].time
+            })
             .collect();
 
         struct OneShot {

@@ -11,9 +11,9 @@
 //! is a hard 16 regardless of how many cores the runner has.
 
 use ft_compiler::Compiler;
-use ft_core::EvalContext;
+use ft_core::{evaluate_proposals_scored, Candidate, EvalContext, EvalMode, Proposal};
 use ft_flags::rng::{derive_seed_idx, rng_for};
-use ft_flags::{Cv, CvId, CvPool};
+use ft_flags::{CvId, CvPool};
 use ft_machine::{execute, link, Architecture, ExecOptions};
 use ft_outline::outline_with_defaults;
 use ft_workloads::workload_by_name;
@@ -30,6 +30,20 @@ fn mk_ctx() -> EvalContext {
     let steps = 5;
     let (outlined, _) = outline_with_defaults(&ir, &compiler, &arch, steps, 11);
     EvalContext::new(outlined.ir, Compiler::icc(arch.target), arch, steps, 99)
+}
+
+/// The uncached compile → link → execute time of one assignment.
+fn uncached(ctx: &EvalContext, pool: &CvPool, ids: &[CvId], seed: u64) -> f64 {
+    let objects = ctx.compiler.compile_mixed(&ctx.ir, &pool.materialize(ids));
+    let linked = link(objects, &ctx.ir, &ctx.arch);
+    execute(&linked, &ctx.arch, &ExecOptions::new(ctx.steps, seed)).total_s
+}
+
+/// One assignment through the context's caches, as a one-proposal
+/// batch on the per-candidate route.
+fn evaluate_one(ctx: &EvalContext, pool: &CvPool, ids: &[CvId], seed: u64) -> f64 {
+    let p = Proposal::new(Candidate::PerLoop(ids.to_vec()), seed);
+    evaluate_proposals_scored(ctx, pool, &[p], EvalMode::Scalar)[0].time
 }
 
 #[test]
@@ -57,12 +71,7 @@ fn sixteen_threads_agree_with_the_uncached_path() {
     let reference: Vec<f64> = assignments
         .iter()
         .enumerate()
-        .map(|(k, a)| {
-            let owned: Vec<Cv> = pool.materialize(a);
-            let objects = ctx.compiler.compile_mixed(&ctx.ir, &owned);
-            let linked = link(objects, &ctx.ir, &ctx.arch);
-            execute(&linked, &ctx.arch, &ExecOptions::new(ctx.steps, seed_of(k))).total_s
-        })
+        .map(|(k, a)| uncached(&ctx, &pool, a, seed_of(k)))
         .collect();
 
     std::thread::scope(|s| {
@@ -79,11 +88,7 @@ fn sixteen_threads_agree_with_the_uncached_path() {
                     (0..n)
                         .map(|i| {
                             let k = (i + t * 3) % n;
-                            (
-                                k,
-                                ctx.eval_assignment_ids(pool, &assignments[k], seed_of(k))
-                                    .total_s,
-                            )
+                            (k, evaluate_one(ctx, pool, &assignments[k], seed_of(k)))
                         })
                         .collect::<Vec<(usize, f64)>>()
                 })
@@ -149,11 +154,7 @@ fn sixteen_threads_share_one_tiny_store_without_deadlock_or_drift() {
     let reference: Vec<f64> = assignments
         .iter()
         .enumerate()
-        .map(|(k, a)| {
-            reference_ctx
-                .eval_assignment_ids(&pool, a, seed_of(k))
-                .total_s
-        })
+        .map(|(k, a)| uncached(&reference_ctx, &pool, a, seed_of(k)))
         .collect();
 
     std::thread::scope(|s| {
@@ -168,11 +169,7 @@ fn sixteen_threads_share_one_tiny_store_without_deadlock_or_drift() {
                     let times: Vec<(usize, f64)> = (0..2 * n)
                         .map(|i| {
                             let k = (i + t * 5) % n;
-                            (
-                                k,
-                                ctx.eval_assignment_ids(pool, &assignments[k], seed_of(k))
-                                    .total_s,
-                            )
+                            (k, evaluate_one(&ctx, pool, &assignments[k], seed_of(k)))
                         })
                         .collect();
                     // Per-thread ledgers stay balanced even though the

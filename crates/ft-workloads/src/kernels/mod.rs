@@ -13,14 +13,10 @@
 //! input always produces bitwise-identical results regardless of
 //! thread count.
 
-pub mod fem;
 pub mod hydro;
 pub mod shallow_water;
 pub mod spmv;
-pub mod wave3d;
 
-pub use fem::FemMesh;
 pub use hydro::Hydro2d;
 pub use shallow_water::ShallowWater;
 pub use spmv::CsrMatrix;
-pub use wave3d::Wave3d;
