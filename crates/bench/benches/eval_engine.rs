@@ -14,7 +14,7 @@
 use bench::{bench_ctx, BENCH_X};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ft_compiler::ObjectCache;
-use ft_core::{evaluate_proposals_scored, Candidate, EvalContext, EvalMode, Proposal};
+use ft_core::{evaluate_proposals_scored, par_map, Candidate, EvalContext, EvalMode, Proposal};
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvId, CvPool};
 use ft_machine::{
@@ -22,7 +22,6 @@ use ft_machine::{
     ExecShape, LinkedProgram,
 };
 use rand::Rng;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// `FT_BENCH_SMOKE=1` shrinks the batch sizes so CI can smoke-test the
@@ -43,37 +42,30 @@ fn legacy_assignment_batch(
     cache: &ObjectCache,
     assignments: &[Vec<Cv>],
 ) -> Vec<f64> {
-    assignments
-        .par_iter()
-        .enumerate()
-        .map(|(k, a)| {
-            let objects = cache.compile_assignment(&ctx.compiler, &ctx.ir.modules, a);
-            let linked = link(objects, &ctx.ir, &ctx.arch);
-            let opts = ExecOptions::new(
-                ctx.steps,
-                derive_seed_idx(ctx.noise_root ^ 0xA551, k as u64),
-            );
-            execute(&linked, &ctx.arch, &opts).total_s
-        })
-        .collect()
+    par_map(assignments.len(), |k| {
+        let objects = cache.compile_assignment(&ctx.compiler, &ctx.ir.modules, &assignments[k]);
+        let linked = link(objects, &ctx.ir, &ctx.arch);
+        let opts = ExecOptions::new(
+            ctx.steps,
+            derive_seed_idx(ctx.noise_root ^ 0xA551, k as u64),
+        );
+        execute(&linked, &ctx.arch, &opts).total_s
+    })
 }
 
 /// The pre-engine uniform batch: compile + link per candidate.
 fn legacy_uniform_batch(ctx: &EvalContext, cache: &ObjectCache, cvs: &[Cv]) -> Vec<f64> {
-    cvs.par_iter()
-        .enumerate()
-        .map(|(k, cv)| {
-            let objects: Vec<_> = ctx
-                .ir
-                .modules
-                .iter()
-                .map(|m| cache.compile(&ctx.compiler, m, cv))
-                .collect();
-            let linked = link(objects, &ctx.ir, &ctx.arch);
-            let opts = ExecOptions::new(ctx.steps, derive_seed_idx(ctx.noise_root, k as u64));
-            execute(&linked, &ctx.arch, &opts).total_s
-        })
-        .collect()
+    par_map(cvs.len(), |k| {
+        let objects: Vec<_> = ctx
+            .ir
+            .modules
+            .iter()
+            .map(|m| cache.compile(&ctx.compiler, m, &cvs[k]))
+            .collect();
+        let linked = link(objects, &ctx.ir, &ctx.arch);
+        let opts = ExecOptions::new(ctx.steps, derive_seed_idx(ctx.noise_root, k as u64));
+        execute(&linked, &ctx.arch, &opts).total_s
+    })
 }
 
 /// The shipped engine path on the per-candidate route, under the
@@ -212,7 +204,7 @@ fn exec_total_benches(c: &mut Criterion) {
 
 /// `execute_total` vs `execute_batch_total`: the scalar run model
 /// against the lane-oriented batch executor, at batch widths spanning
-/// one rayon chunk (the driver executes 64-lane chunks). Both paths
+/// one driver chunk (the driver executes 64-lane chunks). Both paths
 /// are asserted bit-identical per lane before timing, so the numbers
 /// compare equal work. `W` lanes are distinct mixed assignments —
 /// the worst case for the gather phase (no lane shares decisions).

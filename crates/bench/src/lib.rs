@@ -1,35 +1,17 @@
-//! Shared helpers for the figure/table benchmark harness.
-//!
-//! Every paper table and figure has a Criterion bench target that (a)
-//! regenerates the artifact's data series (printed once, so `cargo
-//! bench` output doubles as a reproduction log) and (b) measures how
-//! long the regeneration takes on the simulated toolchain. Bench-scale
-//! parameters are reduced (K, steps) so the full suite completes in
-//! minutes; `repro --full` is the faithful protocol.
+//! Shared helpers for the engine benchmarks: an evaluation context at
+//! bench scale (reduced steps) and the CFR focus width the batch
+//! shapes are drawn from.
 
 use ft_compiler::Compiler;
-use ft_core::{EvalContext, Tuner, TuningRun};
+use ft_core::EvalContext;
 use ft_machine::Architecture;
 use ft_outline::outline_with_defaults;
-use ft_workloads::{workload_by_name, Workload};
+use ft_workloads::workload_by_name;
 
-/// Bench-scale sample budget.
-pub const BENCH_K: usize = 100;
 /// Bench-scale CFR focus width.
 pub const BENCH_X: usize = 12;
 /// Bench-scale step cap.
 pub const BENCH_STEPS: u32 = 4;
-
-/// One full tuning run at bench scale.
-pub fn bench_run(bench: &str, arch: &Architecture) -> TuningRun {
-    let w = workload_by_name(bench).expect("benchmark exists");
-    Tuner::new(&w, arch)
-        .budget(BENCH_K)
-        .focus(BENCH_X)
-        .seed(42)
-        .cap_steps(BENCH_STEPS)
-        .run()
-}
 
 /// An evaluation context at bench scale.
 pub fn bench_ctx(bench: &str, arch: &Architecture) -> EvalContext {
@@ -44,19 +26,4 @@ pub fn bench_ctx(bench: &str, arch: &Architecture) -> EvalContext {
         BENCH_STEPS,
         99,
     )
-}
-
-/// The workload handle for cross-input benches.
-pub fn bench_workload(bench: &str) -> Workload {
-    workload_by_name(bench).expect("benchmark exists")
-}
-
-/// Prints a labelled speedup series once (reproduction log).
-pub fn log_series(figure: &str, label: &str, points: &[(String, f64)]) {
-    let body = points
-        .iter()
-        .map(|(c, v)| format!("{c}={v:.3}"))
-        .collect::<Vec<_>>()
-        .join("  ");
-    println!("[{figure}] {label}: {body}");
 }

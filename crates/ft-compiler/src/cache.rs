@@ -9,7 +9,7 @@
 //! real prototype.
 //!
 //! Built on [`ShardedLru`]: lock-striped (searches evaluate candidates
-//! from rayon worker threads), single-flight (concurrent lookups of
+//! from parallel worker threads), single-flight (concurrent lookups of
 //! one key block instead of racing duplicate compiles, so
 //! `compiles == misses` exactly), and optionally capacity-bounded so a
 //! long campaign's cache stays O(working set). Entries are shared as

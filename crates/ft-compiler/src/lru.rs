@@ -15,7 +15,7 @@
 //!   the same key block on the slot instead of racing duplicate
 //!   computations. This makes the counter ledger exact:
 //!   `computes == misses` and `hits + misses == lookups`, even from
-//!   rayon worker threads.
+//!   parallel worker threads.
 //! * **Result invariance.** Every cached value is a pure function of
 //!   its key (compilation and linking are deterministic), so an
 //!   eviction can only force a bit-identical recomputation. Capacity

@@ -9,11 +9,11 @@
 
 use crate::breaker::Attempts;
 use crate::ctx::EvalContext;
+use crate::par::par_map;
 use crate::search::Candidate;
 use ft_caliper::Caliper;
 use ft_flags::rng::{derive_seed_idx, rng_for};
 use ft_flags::{Cv, CvPool};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Per-loop collection data: `K` CVs, the matrix of per-module times,
@@ -188,34 +188,31 @@ pub fn collect_candidates(
 ) -> MixedCollection {
     let j_total = ctx.modules();
     let hot: Vec<usize> = ctx.ir.hot_loop_ids();
-    let rows: Vec<(Vec<f64>, f64, Attempts)> = candidates
-        .par_iter()
-        .enumerate()
-        .map(|(kk, cand)| {
-            let caliper = Caliper::real_time();
-            let noise = derive_seed_idx(seed ^ 0x0C01_1EC7, kk as u64);
-            // Through both caches. Under a nonzero fault model, a
-            // candidate that ICEs, keeps crashing, or hangs yields
-            // `+inf` — an all-`+inf` column that no per-loop ranking
-            // can ever select.
-            let (score, attempts) = ctx.evaluate(pool, cand, noise, Some(&caliper));
-            let total = score.time;
-            if !total.is_finite() {
-                return (vec![f64::INFINITY; j_total], f64::INFINITY, attempts);
-            }
-            let snap = caliper.snapshot();
-            // Measured hot-loop times; non-loop derived by subtraction.
-            let mut per_module = vec![0.0; j_total];
-            let mut hot_sum = 0.0;
-            for &j in &hot {
-                let t = snap.inclusive(&ctx.ir.modules[j].name);
-                per_module[j] = t;
-                hot_sum += t;
-            }
-            per_module[j_total - 1] = (total - hot_sum).max(0.0);
-            (per_module, total, attempts)
-        })
-        .collect();
+    let rows: Vec<(Vec<f64>, f64, Attempts)> = par_map(candidates.len(), |kk| {
+        let cand = &candidates[kk];
+        let caliper = Caliper::real_time();
+        let noise = derive_seed_idx(seed ^ 0x0C01_1EC7, kk as u64);
+        // Through both caches. Under a nonzero fault model, a
+        // candidate that ICEs, keeps crashing, or hangs yields
+        // `+inf` — an all-`+inf` column that no per-loop ranking
+        // can ever select.
+        let (score, attempts) = ctx.evaluate(pool, cand, noise, Some(&caliper));
+        let total = score.time;
+        if !total.is_finite() {
+            return (vec![f64::INFINITY; j_total], f64::INFINITY, attempts);
+        }
+        let snap = caliper.snapshot();
+        // Measured hot-loop times; non-loop derived by subtraction.
+        let mut per_module = vec![0.0; j_total];
+        let mut hot_sum = 0.0;
+        for &j in &hot {
+            let t = snap.inclusive(&ctx.ir.modules[j].name);
+            per_module[j] = t;
+            hot_sum += t;
+        }
+        per_module[j_total - 1] = (total - hot_sum).max(0.0);
+        (per_module, total, attempts)
+    });
     // The breaker advances only here, in probe order.
     if let Some(b) = ctx.breaker() {
         for (_, _, attempts) in &rows {

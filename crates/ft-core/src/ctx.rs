@@ -3,6 +3,7 @@
 
 use crate::breaker::{Attempts, CircuitBreaker};
 use crate::objective::{Objective, Score};
+use crate::par::par_map;
 use crate::search::Candidate;
 use crate::store::{self, ObjectStore};
 use ft_caliper::Caliper;
@@ -15,7 +16,6 @@ use ft_machine::{
     try_execute_profiled, Architecture, BatchPlan, ExecOptions, ExecShape, FaultQuarantine,
     LinkCache, LinkedProgram, RunMeasurement, RunOutcome,
 };
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -797,13 +797,10 @@ impl EvalContext {
     /// is bit-identical to the sequential loop it replaces.
     fn measure_baseline(&self, repeats: u32) -> f64 {
         let base = self.space().baseline();
-        let times: Vec<f64> = (0..repeats as usize)
-            .into_par_iter()
-            .map(|r| {
-                self.eval_uniform(&base, derive_seed_idx(self.noise_root ^ 0xBA5E, r as u64))
-                    .total_s
-            })
-            .collect();
+        let times: Vec<f64> = par_map(repeats as usize, |r| {
+            self.eval_uniform(&base, derive_seed_idx(self.noise_root ^ 0xBA5E, r as u64))
+                .total_s
+        });
         times.iter().sum::<f64>() / f64::from(repeats.max(1))
     }
 
@@ -1035,7 +1032,7 @@ mod tests {
     fn baseline_costs_exactly_one_compile_per_module() {
         // The 10 baseline repeats share one digest vector: single-flight
         // caching must link once and compile each module exactly once,
-        // no matter how the rayon repeats race.
+        // no matter how the parallel repeats race.
         let ctx = ctx_for("swim", Some(5));
         let _ = ctx.baseline_time(10);
         let cost = ctx.cost();

@@ -22,9 +22,10 @@
 //!   ([`algorithms::cfr`]).
 //!
 //! Shared infrastructure: [`ctx::EvalContext`] (compile → link →
-//! execute of uniform and mixed assignments, rayon-parallel batch
-//! evaluation), [`collection`] (the Figure 4 per-loop data-collection
-//! pipeline over Caliper), [`stats`] (geometric means and speedups),
+//! execute of uniform and mixed assignments), [`par_map`] (the
+//! index-ordered scoped-thread map behind every parallel batch),
+//! [`collection`] (the Figure 4 per-loop data-collection pipeline over
+//! Caliper), [`stats`] (geometric means and speedups),
 //! [`critical`] (the §4.4 critical-flag elimination used for the
 //! CloverLeaf case study), and [`pipeline::Tuner`], a one-stop builder
 //! used by the examples and the experiment harness.
@@ -43,6 +44,7 @@ pub mod framing;
 pub mod importance;
 pub mod journal;
 pub mod objective;
+mod par;
 pub mod pipeline;
 pub mod remote;
 pub mod result;
@@ -69,6 +71,7 @@ pub use framing::{
 pub use importance::{flag_importance, FlagImportance};
 pub use journal::{Journal, JournalError, Recovery, Tail};
 pub use objective::{pareto_front, Objective, Score};
+pub use par::par_map;
 pub use pipeline::{
     PausedCampaign, Phase, PhaseSpan, ScheduleMode, ScheduleReport, Tuner, TuningRun,
 };

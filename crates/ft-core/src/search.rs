@@ -24,11 +24,11 @@ use crate::breaker::Attempts;
 use crate::collection::{collect_candidates, MixedCollection};
 use crate::ctx::EvalContext;
 use crate::objective::{pareto_front, Objective, Score};
+use crate::par::par_map;
 use crate::result::{best_so_far, ParetoPoint, TuningResult};
 use ft_compiler::lru::CacheWeight;
 use ft_flags::{Cv, CvId, CvPool};
 use ft_machine::LinkedProgram;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// One search point, in interned form. Losing candidates never leave
@@ -204,7 +204,7 @@ impl EvalMode {
 
 /// Lanes per `execute_batch_total` call: wide enough to amortize the
 /// gather and keep the arithmetic pass vectorized, small enough that
-/// chunks spread across the rayon pool.
+/// chunks spread across the [`par_map`] threads.
 const BATCH_CHUNK: usize = 64;
 
 /// The single propose/evaluate/record loop behind every tuner.
@@ -309,10 +309,10 @@ pub fn evaluate_proposals_scored(
     // fault precisely, which is the breaker's whole point — and
     // the two paths are bit-identical, so degrading is value-safe.
     if mode == EvalMode::Scalar || !ctx.faults().is_zero() || !ctx.batched_allowed() {
-        let evaluated: Vec<(Score, Attempts)> = proposals
-            .par_iter()
-            .map(|p| ctx.evaluate(pool, &p.candidate, p.noise_seed, None))
-            .collect();
+        let evaluated: Vec<(Score, Attempts)> = par_map(proposals.len(), |i| {
+            let p = &proposals[i];
+            ctx.evaluate(pool, &p.candidate, p.noise_seed, None)
+        });
         // The breaker advances only here, in proposal order.
         if let Some(b) = ctx.breaker() {
             for (_, attempts) in &evaluated {
@@ -323,27 +323,21 @@ pub fn evaluate_proposals_scored(
     }
     // Link phase: compile + link every proposal through the caches
     // (deduplicated, single-flight), in parallel.
-    let linked: Vec<Arc<LinkedProgram>> = proposals
-        .par_iter()
-        .map(|p| ctx.link_candidate(pool, &p.candidate))
-        .collect();
+    let linked: Vec<Arc<LinkedProgram>> = par_map(proposals.len(), |i| {
+        ctx.link_candidate(pool, &proposals[i].candidate)
+    });
     let lanes: Vec<(&LinkedProgram, u64)> = linked
         .iter()
         .zip(proposals)
         .map(|(l, p)| (l.as_ref(), p.noise_seed))
         .collect();
-    // Execute phase: W-wide lanes per chunk, chunks in parallel
-    // (by index range — a slice-level parallel chunk iterator is
-    // not needed for a read-only split).
+    // Execute phase: W-wide lanes per chunk, chunks in parallel.
     let n_chunks = lanes.len().div_ceil(BATCH_CHUNK);
-    let chunked: Vec<Vec<f64>> = (0..n_chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * BATCH_CHUNK;
-            let hi = (lo + BATCH_CHUNK).min(lanes.len());
-            ctx.execute_linked_batch(&lanes[lo..hi])
-        })
-        .collect();
+    let chunked: Vec<Vec<f64>> = par_map(n_chunks, |c| {
+        let lo = c * BATCH_CHUNK;
+        let hi = (lo + BATCH_CHUNK).min(lanes.len());
+        ctx.execute_linked_batch(&lanes[lo..hi])
+    });
     chunked
         .into_iter()
         .flatten()

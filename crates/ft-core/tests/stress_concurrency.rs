@@ -7,8 +7,10 @@
 //! every repetition: the caches are allowed to save work, never to
 //! change results.
 //!
-//! Plain `std::thread::scope` rather than rayon, so the thread count
-//! is a hard 16 regardless of how many cores the runner has.
+//! Sixteen explicit `std::thread::scope` threads rather than
+//! `ft_core::par_map` (which splits by available parallelism), so the
+//! thread count is a hard 16 regardless of how many cores the runner
+//! has.
 
 use ft_compiler::Compiler;
 use ft_core::{evaluate_proposals_scored, Candidate, EvalContext, EvalMode, Proposal};

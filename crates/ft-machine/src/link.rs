@@ -325,7 +325,7 @@ impl CacheWeight for LinkedProgram {
 /// focus widths, and every baseline repeat) therefore reuse the
 /// `LinkedProgram` outright; only the per-candidate noise-seeded
 /// execution still runs, which keeps measurements bit-identical to
-/// re-linking. Built on [`ShardedLru`]: lock-striped so rayon workers
+/// re-linking. Built on [`ShardedLru`]: lock-striped so parallel workers
 /// don't serialize on one lock, single-flight so concurrent evals of
 /// one assignment link (and compile) exactly once, and optionally
 /// capacity-bounded for campaigns whose assignment stream is much

@@ -1,5 +1,4 @@
-//! The benchmark suite: program models of the seven HPC codes plus
-//! real, runnable mini-kernels.
+//! The benchmark suite: program models of the seven HPC codes.
 //!
 //! Table 1 of the paper evaluates AMG, LULESH, CloverLeaf, 351.bwaves,
 //! 362.fma3d, 363.swim and Optewe. We cannot ship those code bases, so
@@ -10,15 +9,8 @@
 //! domain, PGO-instrumentation failures for LULESH and Optewe), plus
 //! the per-architecture input table of Table 2 and the §4.3
 //! small/large input variants.
-//!
-//! The [`kernels`] module contains *real* parallel Rust kernels
-//! (CloverLeaf-like hydrodynamics, AMG-like sparse linear algebra,
-//! swim-like shallow-water stencils) used by the examples and the
-//! profiler tests — they keep the repository honest as HPC code and
-//! give `ft-caliper` genuine work to measure.
 
 pub mod input;
-pub mod kernels;
 pub mod programs;
 pub mod suite;
 pub mod synthetic;

@@ -48,7 +48,7 @@
 //! | [`compiler`] | loop IR + the simulated ICC/GCC-like optimizing compiler and PGO |
 //! | [`machine`] | platform models, link-time interference, roofline execution |
 //! | [`caliper`] | the Caliper-like region profiler |
-//! | [`workloads`] | the seven benchmark models + real rayon mini-kernels |
+//! | [`workloads`] | the seven benchmark models and their inputs |
 //! | [`outline`] | hot-loop detection and outlining |
 //! | [`tuning`] | Random / FR / Greedy / CFR and the tuning pipeline |
 //! | [`baselines`] | CE, OpenTuner-like, COBAYN-like, PGO baselines |
