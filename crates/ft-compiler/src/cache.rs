@@ -13,8 +13,11 @@
 //! one key block instead of racing duplicate compiles, so
 //! `compiles == misses` exactly), and optionally capacity-bounded so a
 //! long campaign's cache stays O(working set). Entries are shared as
-//! `Arc<CompiledModule>` so a hit is a pointer bump rather than a deep
-//! clone of the compiled decisions.
+//! `Arc<CompiledModule>` so a hit is a pointer bump, and an object
+//! shares its module descriptor (`Arc<Module>`), so even an owned copy
+//! of a hit (the link step's input) is a refcount bump plus `Copy`
+//! decisions. Callers that already hold the CV digest look up by it
+//! ([`ObjectCache::object`]) without re-hashing the CV.
 
 use crate::compiler::Compiler;
 use crate::decisions::CompiledModule;
@@ -69,6 +72,21 @@ impl ObjectCache {
         self.lru.capacity()
     }
 
+    /// Looks up (or computes, single-flight) the object of module
+    /// slot `module_id` compiled with the CV whose digest is
+    /// `cv_digest`. `compute` runs only on a miss and must compile
+    /// exactly that pair. Returns the shared object and whether this
+    /// was a hit — the same shape as the cross-context store's lookup,
+    /// for callers that already hold the digest.
+    pub fn object(
+        &self,
+        module_id: usize,
+        cv_digest: u64,
+        compute: impl FnOnce() -> CompiledModule,
+    ) -> (Arc<CompiledModule>, bool) {
+        self.lru.get_or_compute((module_id, cv_digest), compute)
+    }
+
     /// Compiles `module` with `cv`, reusing a cached object when one
     /// exists. The result is bit-identical to
     /// [`Compiler::compile_module`] (compilation is deterministic);
@@ -79,10 +97,10 @@ impl ObjectCache {
         module: &Module,
         cv: &Cv,
     ) -> Arc<CompiledModule> {
-        let key = (module.id, cv.digest());
-        self.lru
-            .get_or_compute(key, || compiler.compile_module(module, cv))
-            .0
+        self.object(module.id, cv.digest(), || {
+            compiler.compile_module(module, cv)
+        })
+        .0
     }
 
     /// Owned-value variant of [`ObjectCache::compile_arc`] for callers

@@ -6,6 +6,7 @@ use crate::pgo::PgoProfile;
 use crate::response::jitter;
 use ft_flags::{Cv, FlagId, FlagSpace};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Compiler family being modelled. Personalities differ in vectorizer
 /// aggressiveness and heuristic tuning, which is why the Figure 1
@@ -532,6 +533,14 @@ impl Compiler {
 
     /// Compiles one module with one CV.
     pub fn compile_module(&self, module: &Module, cv: &Cv) -> CompiledModule {
+        self.compile_shared(&Arc::new(module.clone()), cv)
+    }
+
+    /// [`Compiler::compile_module`] on a shared module descriptor: the
+    /// object points at `module` instead of owning a deep copy, so
+    /// callers that compile one module many times (the evaluation
+    /// context, under every CV of a campaign) share one allocation.
+    pub fn compile_shared(&self, module: &Arc<Module>, cv: &Cv) -> CompiledModule {
         let decisions = match &module.kind {
             ModuleKind::HotLoop(f) => self.decide_loop(f, &self.semantics(cv), None),
             ModuleKind::NonLoop { code_bytes, .. } => {
@@ -539,7 +548,7 @@ impl Compiler {
             }
         };
         CompiledModule {
-            module: module.clone(),
+            module: Arc::clone(module),
             decisions,
             cv_digest: cv.digest(),
         }
@@ -584,7 +593,7 @@ impl Compiler {
             }
         };
         CompiledModule {
-            module: module.clone(),
+            module: Arc::new(module.clone()),
             decisions,
             cv_digest: cv.digest() ^ 0x9_60,
         }

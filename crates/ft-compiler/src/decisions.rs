@@ -12,6 +12,7 @@
 use crate::ir::{LoopFeatures, Module};
 use crate::response::jitter;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// SIMD width of generated code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -110,7 +111,7 @@ pub fn vector_efficiency(f: &LoopFeatures, width: VecWidth) -> f64 {
 }
 
 /// Complete record of the code generated for one module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CodegenDecisions {
     /// Optimization level actually used (2 or 3).
     pub opt_level: u8,
@@ -203,10 +204,14 @@ impl CodegenDecisions {
 /// One compiled compilation module: the module, what the compiler did
 /// to it, and a digest of the CV that produced it (used to derive
 /// deterministic link-time behaviour).
+///
+/// Cloning is cheap: the module descriptor is shared, and the
+/// decisions are plain `Copy` data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledModule {
-    /// The source module (cloned; modules are small descriptors).
-    pub module: Module,
+    /// The source module, shared by every object compiled from it
+    /// (serialized inline, exactly like an owned `Module`).
+    pub module: Arc<Module>,
     /// What the compiler decided.
     pub decisions: CodegenDecisions,
     /// Digest of the compilation vector used.
@@ -280,6 +285,25 @@ mod tests {
         assert_ne!(
             vector_efficiency(&a, VecWidth::W256),
             vector_efficiency(&b, VecWidth::W256)
+        );
+    }
+
+    #[test]
+    fn compiled_module_round_trips_through_json() {
+        use crate::compiler::{Compiler, Target};
+        let c = Compiler::icc(Target::avx2_256());
+        let m = Module::hot_loop(3, "k", LoopFeatures::synthetic(9), &[1, 2]);
+        let cv = c.space().sample(&mut ft_flags::rng::rng_for(1, "json"));
+        let obj = c.compile_module(&m, &cv);
+        let json = serde_json::to_string(&obj).unwrap();
+        let back: CompiledModule = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, obj);
+        // The shared descriptor serializes inline, byte-for-byte like
+        // an owned module.
+        let module_json = serde_json::to_string(&m).unwrap();
+        assert!(
+            json.contains(&format!("\"module\":{module_json}")),
+            "{json}"
         );
     }
 

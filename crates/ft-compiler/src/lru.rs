@@ -5,11 +5,13 @@
 //! cross-experiment object store are thin wrappers over this one
 //! structure. Three properties matter:
 //!
-//! * **Bounded residency.** Each shard keeps a recency index
+//! * **Bounded residency.** Under a bounded [`CacheCapacity`] (entry
+//!   count or modeled object bytes) each shard keeps a recency index
 //!   (`BTreeMap<tick, key>`) next to its hash map — a doubly-indexed
-//!   LRU — and evicts oldest-first whenever a configured
-//!   [`CacheCapacity`] (entry count or modeled object bytes) is
-//!   exceeded. Long campaigns stay O(working set), not O(history).
+//!   LRU — and evicts oldest-first whenever the budget is exceeded.
+//!   Long campaigns stay O(working set), not O(history). An unbounded
+//!   cache can never evict, so it keeps no recency index at all: a
+//!   hit is one hash lookup, and a miss one insert.
 //! * **Single-flight.** A miss installs a per-key slot and computes the
 //!   value while holding only that slot's lock; concurrent lookups of
 //!   the same key block on the slot instead of racing duplicate
@@ -109,17 +111,21 @@ struct Entry<V> {
 
 struct ShardInner<K, V> {
     map: HashMap<K, Entry<V>>,
-    /// Recency index: insertion tick -> key, oldest first.
-    order: BTreeMap<u64, K>,
+    /// Recency index: last-use tick -> key, oldest first. `None` for
+    /// unbounded caches, which never evict and so never need it.
+    order: Option<BTreeMap<u64, K>>,
     tick: u64,
     weight: f64,
 }
 
 impl<K, V> ShardInner<K, V> {
-    fn new() -> Self {
+    fn new(budget: ShardBudget) -> Self {
         ShardInner {
             map: HashMap::new(),
-            order: BTreeMap::new(),
+            order: match budget {
+                ShardBudget::Unbounded => None,
+                ShardBudget::Entries(_) | ShardBudget::Bytes(_) => Some(BTreeMap::new()),
+            },
             tick: 0,
             weight: 0.0,
         }
@@ -143,9 +149,12 @@ pub struct ShardedLru<K, V> {
 impl<K: Hash + Eq + Clone, V: CacheWeight> ShardedLru<K, V> {
     /// An empty cache with the given capacity.
     pub fn new(capacity: CacheCapacity) -> Self {
+        let budget = capacity.per_shard();
         ShardedLru {
-            shards: (0..SHARDS).map(|_| Mutex::new(ShardInner::new())).collect(),
-            budget: capacity.per_shard(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(ShardInner::new(budget)))
+                .collect(),
+            budget,
             capacity,
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -184,8 +193,8 @@ impl<K: Hash + Eq + Clone, V: CacheWeight> ShardedLru<K, V> {
     /// therefore never the `order` minimum while `len > 1`).
     fn enforce(&self, inner: &mut ShardInner<K, V>) {
         while self.over_budget(inner) && inner.map.len() > 1 {
-            let (&oldest, _) = inner.order.iter().next().expect("order tracks map");
-            let key = inner.order.remove(&oldest).expect("key just seen");
+            let order = inner.order.as_mut().expect("bounded shards track recency");
+            let (_, key) = order.pop_first().expect("order tracks map");
             let entry = inner.map.remove(&key).expect("map tracks order");
             inner.weight -= entry.weight;
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -200,19 +209,20 @@ impl<K: Hash + Eq + Clone, V: CacheWeight> ShardedLru<K, V> {
         let shard = &self.shards[self.route(&key)];
 
         let slot = {
-            let mut inner = shard.lock();
-            if let Some(entry) = inner.map.get(&key) {
+            let mut guard = shard.lock();
+            let inner = &mut *guard;
+            if let Some(entry) = inner.map.get_mut(&key) {
                 // Hit (possibly on an in-flight entry): bump recency
-                // and fall through to the slot outside the shard lock.
-                let old_tick = entry.tick;
-                let slot = entry.slot.clone();
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.map.get_mut(&key).expect("just found").tick = tick;
-                let k = inner.order.remove(&old_tick).expect("order tracks map");
-                inner.order.insert(tick, k);
+                // (bounded caches only) and fall through to the slot
+                // outside the shard lock.
+                if let Some(order) = inner.order.as_mut() {
+                    inner.tick += 1;
+                    let k = order.remove(&entry.tick).expect("order tracks map");
+                    entry.tick = inner.tick;
+                    order.insert(inner.tick, k);
+                }
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot)
+                Some(entry.slot.clone())
             } else {
                 None
             }
@@ -252,7 +262,9 @@ impl<K: Hash + Eq + Clone, V: CacheWeight> ShardedLru<K, V> {
             }
             inner.tick += 1;
             let tick = inner.tick;
-            inner.order.insert(tick, key.clone());
+            if let Some(order) = inner.order.as_mut() {
+                order.insert(tick, key.clone());
+            }
             inner.map.insert(
                 key.clone(),
                 Entry {
@@ -325,7 +337,9 @@ impl<K: Hash + Eq + Clone, V: CacheWeight> ShardedLru<K, V> {
         for s in &self.shards {
             let mut inner = s.lock();
             inner.map.clear();
-            inner.order.clear();
+            if let Some(order) = inner.order.as_mut() {
+                order.clear();
+            }
             inner.weight = 0.0;
         }
         self.lookups.store(0, Ordering::Relaxed);
@@ -366,6 +380,47 @@ mod tests {
         assert_eq!(s.misses, 200);
         assert_eq!(s.computes, 200);
         assert_eq!(s.lookups, 200);
+    }
+
+    #[test]
+    fn unbounded_keeps_no_recency_index() {
+        let lru: ShardedLru<u64, Obj> = ShardedLru::new(CacheCapacity::Unbounded);
+        // Three sweeps over a growing key range: a mix of hits on old
+        // keys and misses on new ones.
+        for round in 1..=3u64 {
+            for k in 0..40 * round {
+                lru.get_or_compute(k, || value_of(k));
+            }
+        }
+        for shard in &lru.shards {
+            let inner = shard.lock();
+            assert!(
+                inner.order.is_none(),
+                "unbounded shard built a recency index"
+            );
+        }
+        let s = lru.stats();
+        assert_eq!(s.lookups, 40 + 80 + 120);
+        assert_eq!(s.hits + s.misses, s.lookups);
+        assert_eq!(s.computes, s.misses);
+        assert_eq!(s.misses, 120, "one compute per distinct key");
+        assert_eq!(s.evictions, 0);
+        assert_eq!(lru.len(), 120);
+    }
+
+    #[test]
+    fn bounded_recency_index_tracks_residency() {
+        let lru: ShardedLru<u64, Obj> = ShardedLru::new(CacheCapacity::Entries(2 * SHARDS));
+        for round in 1..=3u64 {
+            for k in 0..40 * round {
+                lru.get_or_compute(k, || value_of(k));
+            }
+        }
+        for shard in &lru.shards {
+            let inner = shard.lock();
+            let order = inner.order.as_ref().expect("bounded shard tracks recency");
+            assert_eq!(order.len(), inner.map.len());
+        }
     }
 
     #[test]

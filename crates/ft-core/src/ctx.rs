@@ -16,6 +16,7 @@ use ft_machine::{
     try_execute_profiled, Architecture, BatchPlan, ExecOptions, ExecShape, FaultQuarantine,
     LinkCache, LinkedProgram, RunMeasurement, RunOutcome,
 };
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -152,6 +153,10 @@ pub struct EvalContext {
     /// Root seed for measurement noise; evaluation `k` uses
     /// `derive_seed_idx(noise_root, k)`.
     pub noise_root: u64,
+    /// `ir.modules` as shared descriptors: every object this context
+    /// compiles points at its slot's descriptor instead of owning a
+    /// deep copy of the module.
+    modules: Vec<Arc<Module>>,
     /// Object cache: each `(module, CV)` pair is compiled once, like
     /// the build-system object reuse of the paper's prototype.
     cache: ObjectCache,
@@ -231,7 +236,12 @@ impl EvalContext {
             arch.target.max_vector_bits,
             "compiler target does not match architecture"
         );
+        debug_assert!(
+            ir.modules.iter().enumerate().all(|(i, m)| m.id == i),
+            "module ids must be positional"
+        );
         EvalContext {
+            modules: ir.modules.iter().cloned().map(Arc::new).collect(),
             ir,
             compiler,
             arch,
@@ -333,10 +343,6 @@ impl EvalContext {
     /// so contexts for different programs, inputs, or toolchains can
     /// never collide. The fault quarantine stays per-context.
     pub fn with_shared_store(mut self, store: Arc<ObjectStore>) -> Self {
-        debug_assert!(
-            self.ir.modules.iter().enumerate().all(|(i, m)| m.id == i),
-            "module ids must be positional"
-        );
         let compiler_fp = store::compiler_fingerprint(&self.compiler);
         let module_fps = self
             .ir
@@ -458,33 +464,41 @@ impl EvalContext {
         self.quarantine.restore(compiles, programs);
     }
 
-    /// Compiles one module through the caching layer this context is
+    /// The object of module `slot` compiled with the CV whose digest
+    /// is `digest`, through the caching layer this context is
     /// configured with: the shared [`ObjectStore`] when bound, the
-    /// context-owned [`ObjectCache`] otherwise. All compile paths
-    /// funnel through here, so hit/miss attribution is uniform.
-    fn compile_module_shared(&self, module: &Module, cv: &Cv) -> Arc<CompiledModule> {
-        match &self.store {
+    /// context-owned [`ObjectCache`] otherwise. `cv` is asked for only
+    /// on a miss. All compile paths funnel through here, so hit/miss
+    /// attribution is uniform. Returned by value for the link step; the
+    /// copy shares the module descriptor.
+    fn object<C: Borrow<Cv>>(
+        &self,
+        slot: usize,
+        digest: u64,
+        cv: impl FnOnce() -> C,
+    ) -> CompiledModule {
+        let compile = || {
+            let cv = cv();
+            debug_assert_eq!(cv.borrow().digest(), digest, "CV disagrees with its digest");
+            self.compiler
+                .compile_shared(&self.modules[slot], cv.borrow())
+        };
+        let obj = match &self.store {
             Some(b) => {
-                let (obj, hit) =
-                    b.store
-                        .object(b.compiler_fp, b.module_fps[module.id], cv.digest(), || {
-                            self.compiler.compile_module(module, cv)
-                        });
-                if hit {
-                    b.object_hits.fetch_add(1, Ordering::Relaxed);
+                let (obj, hit) = b
+                    .store
+                    .object(b.compiler_fp, b.module_fps[slot], digest, compile);
+                let counter = if hit {
+                    &b.object_hits
                 } else {
-                    b.object_misses.fetch_add(1, Ordering::Relaxed);
-                }
+                    &b.object_misses
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
                 obj
             }
-            None => self.cache.compile_arc(&self.compiler, module, cv),
-        }
-    }
-
-    /// Owned-value variant of [`EvalContext::compile_module_shared`]
-    /// for the link step, which takes its objects by value.
-    fn compile_module_owned(&self, module: &Module, cv: &Cv) -> CompiledModule {
-        (*self.compile_module_shared(module, cv)).clone()
+            None => self.cache.object(slot, digest, compile).0,
+        };
+        (*obj).clone()
     }
 
     /// Links a digest-keyed assignment through the configured caching
@@ -580,11 +594,8 @@ impl EvalContext {
         assert_eq!(assignment.len(), self.ir.len(), "one CV per module");
         let digests: Vec<u64> = assignment.iter().map(|cv| cv.digest()).collect();
         self.link_digests(&digests, || {
-            self.ir
-                .modules
-                .iter()
-                .zip(assignment)
-                .map(|(m, cv)| self.compile_module_owned(m, cv))
+            (0..digests.len())
+                .map(|j| self.object(j, digests[j], || &assignment[j]))
                 .collect()
         })
     }
@@ -610,16 +621,13 @@ impl EvalContext {
         digests: &[u64],
     ) -> Arc<LinkedProgram> {
         self.link_digests(digests, || {
-            self.ir
-                .modules
-                .iter()
-                .enumerate()
-                .map(|(j, m)| {
+            (0..digests.len())
+                .map(|j| {
                     let id = match candidate {
                         Candidate::Uniform(id) => *id,
                         Candidate::PerLoop(ids) => ids[j],
                     };
-                    self.compile_module_owned(m, &pool.get(id))
+                    self.object(j, digests[j], || pool.get(id))
                 })
                 .collect()
         })
@@ -1101,6 +1109,40 @@ mod tests {
         assert_eq!(sb.object_lookups, 0, "{sb:?}");
         // Store-wide, each (module, CV) pair compiled exactly once.
         assert_eq!(store.object_stats().computes, a.cache_stats().object_misses);
+    }
+
+    #[test]
+    fn linked_programs_share_module_descriptors() {
+        let store = Arc::new(ObjectStore::new());
+        for ctx in [
+            ctx_for("swim", Some(5)),
+            ctx_for("swim", Some(5)).with_shared_store(store),
+        ] {
+            let cvs = ctx.space().sample_many(2, &mut rng_for(6, "descriptors"));
+            let a = ctx.linked_assignment(&vec![cvs[0].clone(); ctx.modules()]);
+            let b = ctx.linked_assignment(&vec![cvs[1].clone(); ctx.modules()]);
+            let misses = ctx.cache_stats().object_misses;
+            for j in 0..ctx.modules() {
+                assert!(
+                    Arc::ptr_eq(&a.modules[j].module, &b.modules[j].module),
+                    "slot {j} deep-copied its module"
+                );
+                for cv in &cvs {
+                    let cached = ctx.object(j, cv.digest(), || cv);
+                    assert!(Arc::ptr_eq(&cached.module, &a.modules[j].module));
+                    assert_eq!(
+                        cached,
+                        ctx.compiler.compile_module(&ctx.ir.modules[j], cv),
+                        "slot {j}"
+                    );
+                }
+            }
+            assert_eq!(
+                ctx.cache_stats().object_misses,
+                misses,
+                "every object above was served from the cache"
+            );
+        }
     }
 
     #[test]

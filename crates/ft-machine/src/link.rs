@@ -516,6 +516,28 @@ mod tests {
     }
 
     #[test]
+    fn linked_program_round_trips_through_json() {
+        let ir = program(10);
+        let c = compiler();
+        let arch = Architecture::broadwell();
+        // Find a combination where the linker overrode something, so
+        // every field is exercised.
+        let linked = (0..200u64)
+            .map(|s| {
+                let mut rng = rng_for(s, "json");
+                let assignment: Vec<_> =
+                    (0..ir.len()).map(|_| c.space().sample(&mut rng)).collect();
+                link(c.compile_mixed(&ir, &assignment), &ir, &arch)
+            })
+            .find(|l| !l.overrides.is_empty())
+            .expect("some combination fires an override");
+        let json = serde_json::to_string(&linked).unwrap();
+        let back: LinkedProgram = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, linked);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
     fn conflicts_require_shared_structs_and_disagreement() {
         let ir = program(6);
         let c = compiler();
